@@ -10,13 +10,11 @@ the intra-set write-variation literature the paper cites [20], [38],
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import SimulationError
-from repro.sim.cache import SetAssocCache
+from repro.sim.engine import check_geometry, lru_events
 from repro.sim.hierarchy import LLCStream
 from repro.sim.llc import LLCCounts
 
@@ -25,17 +23,20 @@ from repro.sim.llc import LLCCounts
 class WearSummary:
     """Distribution statistics of data-array write wear.
 
-    ``line`` granularity is a physical cache frame (set x way is
-    approximated by set-level accounting divided by associativity for
-    the leveled case; the tracker records exact per-set counts and the
-    maximum per-line count within each set).
+    ``set_writes`` is exact per physical set.  ``hottest_line_writes``
+    is keyed by *block address* (under set-rotation leveling, by the
+    remapped block id), not by physical frame: it is the most writes any
+    one block received, wherever in its set each write landed.  A block
+    that is evicted and refilled into another way is counted as one
+    line, and two blocks that share a way are counted apart.  Per-frame
+    (set x way) wear is ROADMAP open item 1's follow-up.
     """
 
     n_sets: int
     associativity: int
     total_writes: int
     set_writes: np.ndarray  # writes landing in each set
-    hottest_line_writes: int  # max writes to a single frame
+    hottest_line_writes: int  # max writes to a single block address
 
     @property
     def mean_set_writes(self) -> float:
@@ -72,31 +73,35 @@ def replay_with_wear(
 
     Every write access *and* every demand-miss fill programs the data
     array, so both wear the cells — this is the physical accounting,
-    independent of the energy model's fill switch.
+    independent of the energy model's fill switch.  One
+    :func:`~repro.sim.engine.lru_events` pass gives the hit flags; the
+    per-set and per-block tallies are counts over the written accesses.
     """
-    cache = SetAssocCache(capacity_bytes, block_bytes, associativity)
-    n_sets = cache.n_sets
-    set_writes = np.zeros(n_sets, dtype=np.int64)
-    line_writes: Dict[int, int] = {}
-    total = 0
+    n_sets = check_geometry(capacity_bytes, block_bytes, associativity)
+    blocks = np.asarray(stream.blocks, dtype=np.uint64)
+    writes = np.asarray(stream.writes, dtype=bool)
+    hit, _ = lru_events(blocks, writes, n_sets, associativity)
+    wrote = writes | ~hit  # writeback, or fill
+    return wear_of_writes(blocks[wrote], n_sets, associativity)
 
-    blocks = stream.blocks
-    writes = stream.writes
-    for i in range(len(stream)):
-        block = int(blocks[i])
-        is_write = bool(writes[i])
-        outcome = cache.access(block, is_write)
-        wrote = is_write or not outcome.hit  # writeback, or fill
-        if wrote:
-            total += 1
-            set_writes[block % n_sets] += 1
-            line_writes[block] = line_writes.get(block, 0) + 1
 
-    hottest = max(line_writes.values()) if line_writes else 0
+def wear_of_writes(
+    written_blocks: np.ndarray, n_sets: int, associativity: int
+) -> WearSummary:
+    """Summarise wear from the block of every data-array write, with
+    ``block % n_sets`` as the set each write lands in."""
+    set_writes = np.bincount(
+        (written_blocks % np.uint64(n_sets)).astype(np.int64),
+        minlength=n_sets,
+    )
+    if len(written_blocks):
+        hottest = int(np.unique(written_blocks, return_counts=True)[1].max())
+    else:
+        hottest = 0
     return WearSummary(
         n_sets=n_sets,
         associativity=associativity,
-        total_writes=total,
+        total_writes=len(written_blocks),
         set_writes=set_writes,
         hottest_line_writes=hottest,
     )

@@ -24,6 +24,15 @@ Three engines share one contract (bit-identical events):
   control-flow-bound, not replay-bound), so ``vector`` is a strict
   superset of ``fast`` in speed and identical in output.
 
+The vector round loop is one kernel, :func:`lru_events`, which returns
+per-access hit and dirty-eviction flags in stream order.  Besides
+``simulate_llc_vector`` it serves the wear replay
+(:func:`repro.endurance.wear.replay_with_wear`) and the technique replay
+(:func:`repro.techniques.replay.replay_with_technique`) under *every*
+engine setting: those studies never consult ``REPRO_SIM_ENGINE``, and
+the engine choice only decides how :func:`repro.sim.llc.simulate_llc`
+replays.
+
 The ``fast`` engine replays the same streams through the same LRU
 semantics but batched:
 
@@ -105,7 +114,7 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return engine
 
 
-def _check_geometry(capacity_bytes: int, block_bytes: int, associativity: int) -> int:
+def check_geometry(capacity_bytes: int, block_bytes: int, associativity: int) -> int:
     """Validate geometry exactly like ``SetAssocCache``; returns n_sets."""
     if capacity_bytes % (block_bytes * associativity):
         raise ConfigurationError("capacity must be a whole number of sets")
@@ -151,7 +160,7 @@ def simulate_llc_fast(
     """
     from repro.sim.llc import LLCCounts, estimate_mlp
 
-    n_sets = _check_geometry(capacity_bytes, block_bytes, associativity)
+    n_sets = check_geometry(capacity_bytes, block_bytes, associativity)
     sets: List[dict] = [dict() for _ in range(n_sets)]
     assoc = associativity
     miss = _MISS
@@ -218,24 +227,21 @@ def simulate_llc_fast(
 #: Empty-way tag sentinel for the vector engine's tag array.  Block
 #: addresses are byte addresses shifted right by ``BLOCK_BITS``, so a
 #: real block can never reach the top bit of a uint64; any stream that
-#: somehow does (hand-built arrays) is routed to the fast loop instead.
+#: somehow does (hand-built arrays) has its tags replaced by their dense
+#: ranks before replay, which keeps every tag comparison exact.
 _VECTOR_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def simulate_llc_vector(
-    stream,
-    capacity_bytes: int,
-    associativity: int = 16,
-    block_bytes: int = 64,
-    n_cores: int = 4,
-    mlp_window: int = 128,
-    mlp_ceiling: float = 6.0,
-):
-    """Whole-trace vectorized LRU replay of an LLC stream.
+def lru_events(blocks, writes, n_sets: int, assoc: int):
+    """Replay a block stream through an LRU cache; per-access events.
 
-    Mirrors :func:`repro.sim.llc.simulate_llc` with ``policy="lru"``;
-    returns an identical :class:`~repro.sim.llc.LLCCounts` to both
-    other engines (the property suite pins this).
+    Returns two bool arrays in stream order: ``hit`` (the block was
+    resident) and ``dirty_evict`` (the access evicted a dirty line).
+    The semantics are exactly :class:`~repro.sim.cache.SetAssocCache`'s
+    (set ``block % n_sets``, write-allocate, sticky dirty bits, empty
+    ways fill before any eviction), so every LLC consumer — plain
+    replay, wear accounting, technique replay — derives its counts
+    from these two flags.
 
     Algorithm — *rounds lockstep over sets*:
 
@@ -253,131 +259,145 @@ def simulate_llc_vector(
        first, exactly the dict engines' install order, and evicting an
        empty way is indistinguishable from installing into it because
        the sentinel way is never dirty.
-    4. Scatter per-round hit/eviction flags back to stream order and
-       derive every :class:`~repro.sim.llc.LLCCounts` field — including
-       per-core splits and MLP miss positions, which depend only on
-       stream-ordered outcome flags — with bincounts and masks.
+    4. Scatter per-round hit/eviction flags back to stream order.
 
     The per-access work is ``O(assoc)`` like the dict engines, but the
     interpreter loop runs ``max accesses-per-set`` times (tens) instead
     of once per access (tens of thousands).
     """
-    from repro.sim.llc import LLCCounts, estimate_mlp
-
-    n_sets = _check_geometry(capacity_bytes, block_bytes, associativity)
-    assoc = associativity
-    blocks = np.ascontiguousarray(stream.blocks, dtype=np.uint64)
-    writes = np.ascontiguousarray(stream.writes, dtype=bool)
+    blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
+    writes = np.ascontiguousarray(writes, dtype=bool)
     n = len(blocks)
-
-    if n and int(blocks.max()) >= 1 << 63:
-        # A "block" colliding with the sentinel tag space cannot come
-        # from a real trace (addresses >> BLOCK_BITS); fall back to the
-        # bit-identical fast loop rather than mis-simulate.
-        return simulate_llc_fast(
-            stream,
-            capacity_bytes,
-            associativity=associativity,
-            block_bytes=block_bytes,
-            n_cores=n_cores,
-            mlp_window=mlp_window,
-            mlp_ceiling=mlp_ceiling,
-        )
-
     hit_out = np.zeros(n, dtype=bool)
     evict_out = np.zeros(n, dtype=bool)
+    if not n:
+        return hit_out, evict_out
 
-    if n:
-        set_idx = (blocks % np.uint64(n_sets)).astype(np.int64)
-        if n_sets <= 2 * n:
-            # Dense: one state row per set, occupancy from bincount.
-            set_counts = np.bincount(set_idx, minlength=n_sets)
-            set_cid = set_idx
-            n_rows = n_sets
-        else:
-            # Sparse (huge cache, short stream): compact to touched sets
-            # so state stays O(accesses), not O(cache).
-            sets_u, set_cid, set_counts = np.unique(
-                set_idx, return_inverse=True, return_counts=True
-            )
-            n_rows = len(sets_u)
+    set_idx = (blocks % np.uint64(n_sets)).astype(np.int64)
+    if int(blocks.max()) >= 1 << 63:
+        # Such a "block" cannot come from a real trace (addresses >>
+        # BLOCK_BITS) but would collide with the empty-way sentinel.
+        # The set index is already taken from the true address, so
+        # replaying dense tag ranks instead is exact.
+        _, ranks = np.unique(blocks, return_inverse=True)
+        blocks = ranks.astype(np.uint64)
 
-        # Rank sets by descending access count so round t's active rows
-        # are exactly the contiguous slice [0, k_t).
-        max_count = int(set_counts.max())
-        if max_count <= np.iinfo(np.uint16).max:
-            rank_key = (max_count - set_counts).astype(np.uint16)
-        else:
-            rank_key = -set_counts
-        rank_order = np.argsort(rank_key, kind="stable")
-        rank = np.empty(n_rows, dtype=np.int64)
-        rank[rank_order] = np.arange(n_rows)
-        counts_desc = set_counts[rank_order]
-        row = rank[set_cid]
-        max_m = int(counts_desc[0])
-        # k_per_round[t] = number of sets with more than t accesses.
-        k_per_round = np.searchsorted(
-            -counts_desc, -np.arange(max_m), side="left"
+    if n_sets <= 2 * n:
+        # Dense: one state row per set, occupancy from bincount.
+        set_counts = np.bincount(set_idx, minlength=n_sets)
+        set_cid = set_idx
+        n_rows = n_sets
+    else:
+        # Sparse (huge cache, short stream): compact to touched sets
+        # so state stays O(accesses), not O(cache).
+        sets_u, set_cid, set_counts = np.unique(
+            set_idx, return_inverse=True, return_counts=True
         )
-        offsets = np.r_[0, np.cumsum(k_per_round)]
+        n_rows = len(sets_u)
 
-        # Round-major permutation via one stable sort by set rank: the
-        # j-th access of the i-th busiest set lands at offsets[j] + i.
-        if n_rows <= np.iinfo(np.uint16).max:
-            sort_key = row.astype(np.uint16)
-        else:
-            sort_key = row.astype(np.uint32)
-        order = np.argsort(sort_key, kind="stable")
-        n_active = int(np.count_nonzero(counts_desc))
-        active_counts = counts_desc[:n_active]
-        group_starts = np.r_[0, np.cumsum(active_counts[:-1])]
-        pos_sorted = np.arange(n, dtype=np.int64) - np.repeat(
-            group_starts, active_counts
-        )
-        row_sorted = np.repeat(np.arange(n_active, dtype=np.int64), active_counts)
-        dest = offsets[pos_sorted] + row_sorted
-        perm = np.empty(n, dtype=np.int64)
-        perm[dest] = order
-        bs = blocks[perm]
-        ws = writes[perm]
+    # Rank sets by descending access count so round t's active rows
+    # are exactly the contiguous slice [0, k_t).
+    max_count = int(set_counts.max())
+    if max_count <= np.iinfo(np.uint16).max:
+        rank_key = (max_count - set_counts).astype(np.uint16)
+    else:
+        rank_key = -set_counts
+    rank_order = np.argsort(rank_key, kind="stable")
+    rank = np.empty(n_rows, dtype=np.int64)
+    rank[rank_order] = np.arange(n_rows)
+    counts_desc = set_counts[rank_order]
+    row = rank[set_cid]
+    max_m = int(counts_desc[0])
+    # k_per_round[t] = number of sets with more than t accesses.
+    k_per_round = np.searchsorted(-counts_desc, -np.arange(max_m), side="left")
+    offsets = np.r_[0, np.cumsum(k_per_round)]
 
-        # Flat per-way state, row-major (n_rows, assoc).
-        tags = np.full(n_rows * assoc, _VECTOR_SENTINEL)
-        dirty = np.zeros(n_rows * assoc, dtype=bool)
-        age = np.zeros(n_rows * assoc, dtype=np.uint32)
-        tags2 = tags.reshape(n_rows, assoc)
-        age2 = age.reshape(n_rows, assoc)
-        row_base = np.arange(n_rows, dtype=np.int64) * assoc
+    # Round-major permutation via one stable sort by set rank: the
+    # j-th access of the i-th busiest set lands at offsets[j] + i.
+    if n_rows <= np.iinfo(np.uint16).max:
+        sort_key = row.astype(np.uint16)
+    else:
+        sort_key = row.astype(np.uint32)
+    order = np.argsort(sort_key, kind="stable")
+    n_active = int(np.count_nonzero(counts_desc))
+    active_counts = counts_desc[:n_active]
+    group_starts = np.r_[0, np.cumsum(active_counts[:-1])]
+    pos_sorted = np.arange(n, dtype=np.int64) - np.repeat(
+        group_starts, active_counts
+    )
+    row_sorted = np.repeat(np.arange(n_active, dtype=np.int64), active_counts)
+    dest = offsets[pos_sorted] + row_sorted
+    perm = np.empty(n, dtype=np.int64)
+    perm[dest] = order
+    bs = blocks[perm]
+    ws = writes[perm]
 
-        hit_flat = np.empty(n, dtype=bool)
-        evict_flat = np.empty(n, dtype=bool)
+    # Flat per-way state, row-major (n_rows, assoc).
+    tags = np.full(n_rows * assoc, _VECTOR_SENTINEL)
+    dirty = np.zeros(n_rows * assoc, dtype=bool)
+    age = np.zeros(n_rows * assoc, dtype=np.uint32)
+    tags2 = tags.reshape(n_rows, assoc)
+    age2 = age.reshape(n_rows, assoc)
+    row_base = np.arange(n_rows, dtype=np.int64) * assoc
 
-        # Round 0: every set is empty — guaranteed miss into way 0.
-        k0 = int(k_per_round[0])
-        hit_flat[:k0] = False
-        evict_flat[:k0] = False
-        tags2[:k0, 0] = bs[:k0]
-        dirty[row_base[:k0]] = ws[:k0]
-        age[row_base[:k0]] = 1
+    hit_flat = np.empty(n, dtype=bool)
+    evict_flat = np.empty(n, dtype=bool)
 
-        for t in range(1, max_m):
-            k = int(k_per_round[t])
-            lo, hi = int(offsets[t]), int(offsets[t + 1])
-            b = bs[lo:hi]
-            hitm = tags2[:k] == b[:, None]
-            way = hitm.argmax(axis=1)
-            hit = tags[row_base[:k] + way] == b
-            victim = age2[:k].argmin(axis=1)
-            flat = row_base[:k] + np.where(hit, way, victim)
-            old_d = dirty[flat]
-            hit_flat[lo:hi] = hit
-            evict_flat[lo:hi] = ~hit & old_d
-            tags[flat] = b
-            dirty[flat] = (hit & old_d) | ws[lo:hi]
-            age[flat] = t + 1
+    # Round 0: every set is empty — guaranteed miss into way 0.
+    k0 = int(k_per_round[0])
+    hit_flat[:k0] = False
+    evict_flat[:k0] = False
+    tags2[:k0, 0] = bs[:k0]
+    dirty[row_base[:k0]] = ws[:k0]
+    age[row_base[:k0]] = 1
 
-        hit_out[perm] = hit_flat
-        evict_out[perm] = evict_flat
+    for t in range(1, max_m):
+        k = int(k_per_round[t])
+        lo, hi = int(offsets[t]), int(offsets[t + 1])
+        b = bs[lo:hi]
+        hitm = tags2[:k] == b[:, None]
+        way = hitm.argmax(axis=1)
+        hit = tags[row_base[:k] + way] == b
+        victim = age2[:k].argmin(axis=1)
+        flat = row_base[:k] + np.where(hit, way, victim)
+        old_d = dirty[flat]
+        hit_flat[lo:hi] = hit
+        evict_flat[lo:hi] = ~hit & old_d
+        tags[flat] = b
+        dirty[flat] = (hit & old_d) | ws[lo:hi]
+        age[flat] = t + 1
+
+    hit_out[perm] = hit_flat
+    evict_out[perm] = evict_flat
+    return hit_out, evict_out
+
+
+def simulate_llc_vector(
+    stream,
+    capacity_bytes: int,
+    associativity: int = 16,
+    block_bytes: int = 64,
+    n_cores: int = 4,
+    mlp_window: int = 128,
+    mlp_ceiling: float = 6.0,
+):
+    """Whole-trace vectorized LRU replay of an LLC stream.
+
+    Mirrors :func:`repro.sim.llc.simulate_llc` with ``policy="lru"``;
+    returns an identical :class:`~repro.sim.llc.LLCCounts` to both
+    other engines (the property suite pins this).  The replay itself is
+    :func:`lru_events`; every :class:`~repro.sim.llc.LLCCounts` field —
+    including per-core splits and MLP miss positions, which depend only
+    on stream-ordered outcome flags — follows from its two flag arrays
+    with bincounts and masks.
+    """
+    from repro.sim.llc import LLCCounts, estimate_mlp
+
+    n_sets = check_geometry(capacity_bytes, block_bytes, associativity)
+    writes = np.ascontiguousarray(stream.writes, dtype=bool)
+    hit_out, evict_out = lru_events(
+        stream.blocks, writes, n_sets, associativity
+    )
 
     reads = ~writes
     read_hit = hit_out & reads
@@ -419,10 +439,10 @@ def filter_private_fast(trace: Trace, arch: ArchitectureConfig):
     from repro.sim.hierarchy import CoreCounters, LLCStream, PrivateResult
 
     n_cores = arch.n_cores
-    l1_nsets = _check_geometry(
+    l1_nsets = check_geometry(
         arch.l1d.capacity_bytes, arch.l1d.block_bytes, arch.l1d.associativity
     )
-    l2_nsets = _check_geometry(
+    l2_nsets = check_geometry(
         arch.l2.capacity_bytes, arch.l2.block_bytes, arch.l2.associativity
     )
     l1_assoc = arch.l1d.associativity

@@ -28,6 +28,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import CompressionError
 from repro.techniques.base import Technique
 from repro.techniques.early_write_termination import EarlyWriteTermination
@@ -180,9 +182,10 @@ class CompressedLLC(Technique):
     Parameters
     ----------
     size_fn:
-        Block address -> compressed size in bytes, in
-        ``(0, block_bytes]``.  Use :meth:`for_workload` to build one
-        from the workload's declared compressibility distribution, or
+        Block-address array -> compressed sizes in bytes, each in
+        ``(0, block_bytes]``; called once per replay with the whole
+        stream.  Use :meth:`for_workload` to build one from the
+        workload's declared compressibility distribution, or
         :meth:`uniform` for a constant size (tests; ``uniform(64)`` is
         the ratio-1.0 baseline).
     tag_factor:
@@ -199,9 +202,13 @@ class CompressedLLC(Technique):
 
     name = "compression"
 
+    #: The compacted-way cache holds a variable number of lines per set
+    #: under a byte budget, which the fixed-way event kernel cannot model.
+    PER_ACCESS_REPLAY = True
+
     def __init__(
         self,
-        size_fn: Callable[[int], int],
+        size_fn: Callable[[np.ndarray], np.ndarray],
         tag_factor: Optional[int] = None,
         redundant_fraction: Optional[float] = None,
         leveling_period: Optional[int] = None,
@@ -229,44 +236,34 @@ class CompressedLLC(Technique):
         **kwargs,
     ) -> "CompressedLLC":
         """Build from the workload's declared compressibility model."""
-        import numpy as np
-
         from repro.workloads.generators import (
             DEFAULT_SEED,
             line_compressed_sizes,
         )
 
         seed = DEFAULT_SEED if seed is None else seed
-        cache: Dict[int, int] = {}
-
-        def size_fn(block: int) -> int:
-            size = cache.get(block)
-            if size is None:
-                size = int(
-                    line_compressed_sizes(
-                        np.array([block], dtype=np.uint64), benchmark, seed
-                    )[0]
-                )
-                cache[block] = size
-            return size
-
-        return cls(size_fn, **kwargs)
+        return cls(
+            lambda blocks: line_compressed_sizes(blocks, benchmark, seed),
+            **kwargs,
+        )
 
     @classmethod
     def uniform(cls, size_bytes: int, **kwargs) -> "CompressedLLC":
         """Every line compresses to the same size (tests/ablations)."""
-        return cls(lambda block: size_bytes, **kwargs)
+        return cls(lambda blocks: np.full(len(blocks), size_bytes), **kwargs)
 
     # -- Technique hooks -------------------------------------------------
 
-    def line_size_bytes(self, block: int, block_bytes: int) -> int:
-        size = int(self._size_fn(block))
-        if not 0 < size <= block_bytes:
+    def line_sizes(self, blocks: np.ndarray, block_bytes: int) -> np.ndarray:
+        sizes = np.asarray(self._size_fn(blocks), dtype=np.int64)
+        bad = (sizes <= 0) | (sizes > block_bytes)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise CompressionError(
-                f"size_fn returned {size} for block {block}, "
+                f"size_fn returned {sizes[i]} for block {blocks[i]}, "
                 f"outside (0, {block_bytes}]"
             )
-        return size
+        return sizes
 
     def make_cache(
         self, capacity_bytes: int, block_bytes: int, associativity: int

@@ -9,10 +9,14 @@ endurance model can price each technique's lifetime effect.
 
 Invariants
 ----------
-- A bare :class:`~repro.techniques.base.Technique` replays through the
-  plain :class:`~repro.sim.cache.SetAssocCache` with full-size writes,
+- A bare :class:`~repro.techniques.base.Technique` replays through
+  :func:`~repro.sim.engine.lru_events` with full-size writes,
   reproducing the baseline LLC bit-for-bit (``write_bytes`` is exactly
-  ``total_writes * block_bytes``).
+  ``total_writes * block_bytes``).  The per-access path, kept for
+  techniques declaring ``PER_ACCESS_REPLAY``, produces the same counts
+  as the kernel whenever the technique's mapping is the identity
+  (``tests/property/test_engine_equivalence.py`` pins the kernel paths
+  against a :class:`~repro.sim.cache.SetAssocCache` oracle).
 - ``compressed_writes + uncompressed_writes == wear.total_writes``:
   every data-array write is classified by whether it programmed fewer
   bytes than the block (the count-sum invariant
@@ -22,15 +26,15 @@ Invariants
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.sim.cache import SetAssocCache
+from repro.sim.engine import check_geometry, lru_events
 from repro.sim.hierarchy import LLCStream
 from repro.sim.llc import LLCCounts
-from repro.endurance.wear import WearSummary
+from repro.endurance.wear import WearSummary, wear_of_writes
 from repro.techniques.base import Technique
 
 
@@ -95,119 +99,112 @@ def replay_with_technique(
 ) -> TechniqueOutcome:
     """Replay an LLC stream under a management technique.
 
-    Set remapping is applied by translating each block to a synthetic
-    block id whose set index is the technique's choice; rotation-style
-    levelers therefore shift residency over time, which costs the same
-    transition misses the real schemes pay.
-
-    The technique may supply its own cache variant via ``make_cache``
-    (compacted-way compression does); caches declaring ``SIZE_AWARE``
-    receive each access's compressed line size and may evict several
-    dirty victims on one miss.
+    The whole-stream hooks run first: bypassed writebacks are dropped
+    from the replayed stream (and counted as DRAM writes), and every
+    access gets its line size from the *true* block address.  The rest
+    replays through one :func:`~repro.sim.engine.lru_events` pass, or —
+    for techniques declaring ``PER_ACCESS_REPLAY`` — access by access
+    (see :func:`_replay_per_access`).
     """
-    cache = technique.make_cache(capacity_bytes, block_bytes, associativity)
-    if cache is None:
-        cache = SetAssocCache(capacity_bytes, block_bytes, associativity)
-    size_aware = bool(getattr(cache, "SIZE_AWARE", False))
-    n_sets = cache.n_sets
+    blocks = np.asarray(stream.blocks, dtype=np.uint64)
+    writes = np.asarray(stream.writes, dtype=bool)
+    if technique.PER_ACCESS_REPLAY:
+        cache = technique.make_cache(capacity_bytes, block_bytes, associativity)
+        if cache is None:
+            cache = SetAssocCache(capacity_bytes, block_bytes, associativity)
+        n_sets = cache.n_sets
+    else:
+        n_sets = check_geometry(capacity_bytes, block_bytes, associativity)
+    bypassed = technique.bypass_write_mask(blocks, writes)
+    sizes = technique.line_sizes(blocks, block_bytes)
+
+    keep = ~bypassed
+    blocks, writes, sizes = blocks[keep], writes[keep], sizes[keep]
+    cores = np.asarray(stream.cores, dtype=np.int64)[keep]
+    if technique.PER_ACCESS_REPLAY:
+        hit, evictions, lines = _replay_per_access(
+            technique, cache, blocks, writes, sizes, n_sets
+        )
+        resident = float(getattr(cache, "mean_resident_lines", associativity))
+    else:
+        hit, dirty_evict = lru_events(blocks, writes, n_sets, associativity)
+        evictions = int(dirty_evict.sum())
+        lines = blocks
+        resident = float(associativity)
+
+    n_bypassed = int(bypassed.sum())
+    reads = ~writes
+    read_hit = hit & reads
+    read_miss = ~hit & reads
     counts = LLCCounts(capacity_bytes=capacity_bytes, associativity=associativity)
-    set_writes = np.zeros(n_sets, dtype=np.int64)
-    line_writes: Dict[int, int] = {}
-    total_writes = 0
-    write_bytes = 0
-    compressed_writes = 0
-    bypassed = 0
-
-    read_hits = [0] * n_cores
-    read_misses = [0] * n_cores
-
-    blocks = stream.blocks
-    writes = stream.writes
-    cores = stream.cores
-
-    for i in range(len(stream)):
-        block = int(blocks[i])
-        core = int(cores[i])
-        mapped_set = technique.map_set(block, n_sets)
-        # Same tag space, technique-chosen set: encode as a block id
-        # whose modulo lands in the mapped set.
-        mapped = (block // n_sets) * n_sets + mapped_set
-        # Sized from the TRUE block address: the mapped id shifts with
-        # leveling rotation, but a line's compressibility must not.
-        size = technique.line_size_bytes(block, block_bytes)
-        if bool(writes[i]):
-            if technique.should_bypass_write(block):
-                bypassed += 1
-                counts.dirty_evictions += 1  # goes straight to DRAM
-                continue
-            if size_aware:
-                outcome = cache.access(mapped, True, size)
-                counts.dirty_evictions += len(outcome.dirty_victims)
-            else:
-                outcome = cache.access(mapped, True)
-                if outcome.dirty_victim is not None:
-                    counts.dirty_evictions += 1
-            counts.write_accesses += 1
-            if outcome.hit:
-                counts.write_hits += 1
-            else:
-                counts.write_misses += 1
-            technique.observe_write(block)
-            total_writes += 1
-            write_bytes += size
-            if size < block_bytes:
-                compressed_writes += 1
-            set_writes[mapped_set] += 1
-            line_writes[mapped] = line_writes.get(mapped, 0) + 1
-        else:
-            technique.observe_read(block)
-            if size_aware:
-                outcome = cache.access(mapped, False, size)
-                counts.dirty_evictions += len(outcome.dirty_victims)
-            else:
-                outcome = cache.access(mapped, False)
-                if outcome.dirty_victim is not None:
-                    counts.dirty_evictions += 1
-            counts.read_lookups += 1
-            if outcome.hit:
-                counts.read_hits += 1
-                read_hits[core] += 1
-            else:
-                counts.read_misses += 1
-                read_misses[core] += 1
-                # The demand fill programs the array too.
-                technique.observe_write(block)
-                total_writes += 1
-                write_bytes += size
-                if size < block_bytes:
-                    compressed_writes += 1
-                set_writes[mapped_set] += 1
-                line_writes[mapped] = line_writes.get(mapped, 0) + 1
-
-    counts.per_core_read_hits = read_hits
-    counts.per_core_read_misses = read_misses
+    counts.read_hits = int(read_hit.sum())
+    counts.read_misses = int(read_miss.sum())
+    counts.read_lookups = counts.read_hits + counts.read_misses
+    counts.write_hits = int((hit & writes).sum())
+    counts.write_misses = int((~hit & writes).sum())
+    counts.write_accesses = counts.write_hits + counts.write_misses
+    # Bypassed writebacks go straight to DRAM.
+    counts.dirty_evictions = evictions + n_bypassed
+    counts.per_core_read_hits = np.bincount(
+        cores[read_hit], minlength=n_cores
+    ).tolist()
+    counts.per_core_read_misses = np.bincount(
+        cores[read_miss], minlength=n_cores
+    ).tolist()
     counts.per_core_mlp = [1.0] * n_cores
 
-    wear = WearSummary(
-        n_sets=n_sets,
-        associativity=associativity,
-        total_writes=total_writes,
-        set_writes=set_writes,
-        hottest_line_writes=max(line_writes.values()) if line_writes else 0,
-    )
+    # Every kept write and every demand-miss fill programs the array.
+    wrote = writes | ~hit
+    written_sizes = sizes[wrote]
+    wear = wear_of_writes(lines[wrote], n_sets, associativity)
+    compressed_writes = int((written_sizes < block_bytes).sum())
     return TechniqueOutcome(
         technique=technique.name,
         counts=counts,
         wear=wear,
-        bypassed_writes=bypassed,
+        bypassed_writes=n_bypassed,
         write_energy_factor=technique.write_energy_factor(),
         write_latency_factor=technique.write_latency_factor(),
         block_bytes=block_bytes,
-        write_bytes=write_bytes,
+        write_bytes=int(written_sizes.sum()),
         compressed_writes=compressed_writes,
-        uncompressed_writes=total_writes - compressed_writes,
+        uncompressed_writes=wear.total_writes - compressed_writes,
         n_frames=n_sets * associativity,
-        mean_resident_lines=float(
-            getattr(cache, "mean_resident_lines", associativity)
-        ),
+        mean_resident_lines=resident,
+    )
+
+
+def _replay_per_access(technique, cache, blocks, writes, sizes, n_sets):
+    """Drive ``cache`` one access at a time under the technique's set
+    mapping; returns per-access hit flags, the dirty-eviction total and
+    each access's line id.
+
+    Only techniques whose mapping or cache state depends on replay
+    outcomes come here (set rotation advances with every data-array
+    write; the compacted-way cache is size-aware).  The line id is a
+    block id in the technique-chosen set, ``(block // n_sets) * n_sets +
+    mapped_set``, so the same tag space lands where the technique says.
+    """
+    size_aware = bool(getattr(cache, "SIZE_AWARE", False))
+    hits: List[bool] = []
+    lines: List[int] = []
+    evictions = 0
+    for block, is_write, size in zip(
+        blocks.tolist(), writes.tolist(), sizes.tolist()
+    ):
+        mapped = (block // n_sets) * n_sets + technique.map_set(block, n_sets)
+        if size_aware:
+            outcome = cache.access(mapped, is_write, size)
+            evictions += len(outcome.dirty_victims)
+        else:
+            outcome = cache.access(mapped, is_write)
+            evictions += outcome.dirty_victim is not None
+        hits.append(outcome.hit)
+        lines.append(mapped)
+        if is_write or not outcome.hit:
+            technique.observe_write(block)
+    return (
+        np.array(hits, dtype=bool),
+        evictions,
+        np.array(lines, dtype=np.uint64),
     )

@@ -20,6 +20,10 @@ class SetRotationLeveling(Technique):
 
     name = "wear-leveling"
 
+    #: The offset advances with data-array writes, read-miss fills
+    #: included, so each access's set depends on how earlier ones hit.
+    PER_ACCESS_REPLAY = True
+
     def __init__(self, period: int = 4096) -> None:
         if period <= 0:
             raise ConfigurationError("rotation period must be positive")

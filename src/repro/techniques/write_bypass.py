@@ -10,7 +10,9 @@ and wrong only in the direction of extra DRAM writes (never lost data).
 
 from __future__ import annotations
 
-from typing import Dict
+from collections import OrderedDict
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.techniques.base import Technique
@@ -25,21 +27,30 @@ class ReuseWriteBypass(Technique):
         if filter_blocks <= 0:
             raise ConfigurationError("filter must hold at least one block")
         self.filter_blocks = filter_blocks
-        # Insertion-ordered dict as a FIFO recency filter.
-        self._recent_reads: Dict[int, None] = {}
+        # Recency filter over read blocks, least recent first.
+        self._recent_reads: "OrderedDict[int, None]" = OrderedDict()
         #: Writebacks sent around the LLC.
         self.bypassed = 0
 
-    def observe_read(self, block: int) -> None:
-        if block in self._recent_reads:
-            del self._recent_reads[block]
-        self._recent_reads[block] = None
-        if len(self._recent_reads) > self.filter_blocks:
-            oldest = next(iter(self._recent_reads))
-            del self._recent_reads[oldest]
-
-    def should_bypass_write(self, block: int) -> bool:
-        bypass = block not in self._recent_reads
-        if bypass:
-            self.bypassed += 1
-        return bypass
+    def bypass_write_mask(self, blocks: np.ndarray, writes: np.ndarray) -> np.ndarray:
+        """One pass of the read filter over the stream: a write is
+        bypassed when its block is not among the last ``filter_blocks``
+        distinct blocks read before it.  The filter only sees demand
+        reads, so the mask does not depend on replay outcomes."""
+        recent = self._recent_reads
+        capacity = self.filter_blocks
+        mask = []
+        for block, is_write in zip(blocks.tolist(), writes.tolist()):
+            if is_write:
+                mask.append(block not in recent)
+            else:
+                mask.append(False)
+                if block in recent:
+                    recent.move_to_end(block)
+                else:
+                    if len(recent) >= capacity:
+                        recent.popitem(last=False)
+                    recent[block] = None
+        out = np.array(mask, dtype=bool)
+        self.bypassed += int(out.sum())
+        return out

@@ -218,3 +218,139 @@ def test_engine_env_var_controls_default(monkeypatch):
     assert resolve_engine() == "vector"
     monkeypatch.delenv(ENGINE_ENV)
     assert resolve_engine() == "fast"
+
+
+# -- wear and technique replay on the event kernel -------------------------
+#
+# ``replay_with_wear`` and the kernel path of ``replay_with_technique``
+# derive everything from ``repro.sim.engine.lru_events``; the oracle
+# below is the per-access ``SetAssocCache`` loop they replaced.  Blocks
+# at or above 2**63 collide with the kernel's empty-way sentinel and
+# must stay exact.
+
+KERNEL_BLOCKS = st.one_of(
+    st.integers(min_value=0, max_value=23),
+    st.integers(min_value=1 << 63, max_value=(1 << 63) + 8),
+    st.integers(min_value=(1 << 64) - 3, max_value=(1 << 64) - 1),
+)
+
+KERNEL_STREAMS = st.lists(
+    st.tuples(KERNEL_BLOCKS, st.booleans(), st.integers(0, 3)),
+    min_size=0,
+    max_size=200,
+)
+
+
+def _llc_stream(accesses) -> LLCStream:
+    n = len(accesses)
+    return LLCStream(
+        blocks=np.array([b for b, _, _ in accesses], dtype=np.uint64),
+        writes=np.array([w for _, w, _ in accesses], dtype=bool),
+        cores=np.array([c for _, _, c in accesses], dtype=np.uint16),
+        instr_positions=np.arange(n, dtype=np.uint64),
+    )
+
+
+def _oracle(accesses, n_sets, assoc, filter_blocks=None):
+    """Per-access SetAssocCache replay with an optional read-recency
+    bypass filter; returns (counts, set_writes, line_writes, bypassed)."""
+    from repro.sim.cache import SetAssocCache
+    from repro.sim.llc import LLCCounts
+
+    cache = SetAssocCache(n_sets * assoc * 64, 64, assoc)
+    counts = LLCCounts(
+        capacity_bytes=n_sets * assoc * 64,
+        associativity=assoc,
+        per_core_read_hits=[0] * 4,
+        per_core_read_misses=[0] * 4,
+        per_core_mlp=[1.0] * 4,
+    )
+    set_writes = np.zeros(n_sets, dtype=np.int64)
+    line_writes = {}
+    recent = []  # distinct read blocks, least recent first
+    bypassed = 0
+    for block, is_write, core in accesses:
+        if filter_blocks is not None and is_write and block not in recent:
+            bypassed += 1
+            counts.dirty_evictions += 1
+            continue
+        if filter_blocks is not None and not is_write:
+            recent = [b for b in recent if b != block] + [block]
+            recent = recent[-filter_blocks:]
+        outcome = cache.access(block, is_write)
+        counts.dirty_evictions += outcome.dirty_victim is not None
+        if is_write:
+            counts.write_accesses += 1
+            counts.write_hits += outcome.hit
+            counts.write_misses += not outcome.hit
+        else:
+            counts.read_lookups += 1
+            counts.read_hits += outcome.hit
+            counts.read_misses += not outcome.hit
+            hits_or_misses = (
+                counts.per_core_read_hits
+                if outcome.hit
+                else counts.per_core_read_misses
+            )
+            hits_or_misses[core] += 1
+        if is_write or not outcome.hit:
+            set_writes[block % n_sets] += 1
+            line_writes[block] = line_writes.get(block, 0) + 1
+    return counts, set_writes, line_writes, bypassed
+
+
+def _assert_wear_equal(wear, set_writes, line_writes):
+    np.testing.assert_array_equal(wear.set_writes, set_writes)
+    assert wear.total_writes == sum(line_writes.values())
+    assert wear.hottest_line_writes == max(line_writes.values(), default=0)
+
+
+@given(
+    accesses=KERNEL_STREAMS,
+    n_sets=st.integers(1, 4),
+    assoc=st.integers(1, 4),
+)
+@settings(max_examples=80, deadline=None)
+def test_wear_replay_matches_oracle(accesses, n_sets, assoc):
+    from repro.endurance.wear import replay_with_wear
+
+    _, set_writes, line_writes, _ = _oracle(accesses, n_sets, assoc)
+    wear = replay_with_wear(_llc_stream(accesses), n_sets * assoc * 64, assoc, 64)
+    assert (wear.n_sets, wear.associativity) == (n_sets, assoc)
+    _assert_wear_equal(wear, set_writes, line_writes)
+
+
+@given(
+    accesses=KERNEL_STREAMS,
+    n_sets=st.integers(1, 4),
+    assoc=st.integers(1, 4),
+    kind=st.sampled_from(["baseline", "ewt", "bypass"]),
+    filter_blocks=st.integers(1, 8),
+)
+@settings(max_examples=120, deadline=None)
+def test_technique_replay_matches_oracle(accesses, n_sets, assoc, kind, filter_blocks):
+    from repro.techniques.base import Technique
+    from repro.techniques.early_write_termination import EarlyWriteTermination
+    from repro.techniques.replay import replay_with_technique
+    from repro.techniques.write_bypass import ReuseWriteBypass
+
+    technique = {
+        "baseline": Technique,
+        "ewt": EarlyWriteTermination,
+        "bypass": lambda: ReuseWriteBypass(filter_blocks=filter_blocks),
+    }[kind]()
+    counts, set_writes, line_writes, bypassed = _oracle(
+        accesses, n_sets, assoc, filter_blocks if kind == "bypass" else None
+    )
+    outcome = replay_with_technique(
+        _llc_stream(accesses), technique, n_sets * assoc * 64, assoc, 64, 4
+    )
+    assert outcome.counts == counts
+    _assert_wear_equal(outcome.wear, set_writes, line_writes)
+    assert outcome.bypassed_writes == bypassed
+    assert getattr(technique, "bypassed", 0) == bypassed
+    assert outcome.write_bytes == outcome.wear.total_writes * 64
+    assert outcome.compressed_writes == 0
+    assert outcome.uncompressed_writes == outcome.wear.total_writes
+    assert outcome.n_frames == n_sets * assoc
+    assert outcome.mean_resident_lines == float(assoc)

@@ -66,8 +66,8 @@ class TestEdges:
 
     def test_sentinel_guard_delegates(self):
         """Block addresses at or above 2**63 collide with the empty-way
-        sentinel; the vector engine must hand such streams to the
-        batched loop and stay bit-identical."""
+        sentinel; the vector engine replays such streams on dense tag
+        ranks and must stay bit-identical to the batched loop."""
         huge = _stream(
             [(1 << 63) + 3, 5, (1 << 64) - 1, 5, (1 << 63) + 3],
             writes=[False, True, False, False, True],

@@ -101,21 +101,22 @@ class TestCompactedWayCache:
 class TestCompressedLLC:
     def test_uniform_size_fn(self):
         technique = CompressedLLC.uniform(32)
-        assert technique.line_size_bytes(123, 64) == 32
+        assert technique.line_sizes(np.array([123], dtype=np.uint64), 64)[0] == 32
 
     def test_for_workload_matches_sampler(self):
         technique = CompressedLLC.for_workload("gobmk")
         blocks = np.arange(50, dtype=np.uint64)
         expected = line_compressed_sizes(blocks, "gobmk")
-        got = [technique.line_size_bytes(int(b), 64) for b in blocks]
+        got = list(technique.line_sizes(blocks, 64))
         assert got == list(expected)
-        # Second lookup comes from the memo cache, same values.
-        assert technique.line_size_bytes(7, 64) == int(expected[7])
+        # A second lookup of one line gives the same value.
+        seven = np.array([7], dtype=np.uint64)
+        assert technique.line_sizes(seven, 64)[0] == int(expected[7])
 
     def test_size_fn_out_of_range_rejected(self):
-        technique = CompressedLLC(lambda block: 0)
+        technique = CompressedLLC(lambda blocks: np.zeros(len(blocks)))
         with pytest.raises(CompressionError):
-            technique.line_size_bytes(1, 64)
+            technique.line_sizes(np.array([1], dtype=np.uint64), 64)
 
     def test_leveling_period_must_be_positive(self):
         with pytest.raises(CompressionError):

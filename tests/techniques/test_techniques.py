@@ -27,7 +27,10 @@ class TestBaselineTechnique:
     def test_noop_hooks(self):
         technique = Technique()
         assert technique.map_set(123, 64) == 123 % 64
-        assert not technique.should_bypass_write(123)
+        mask = technique.bypass_write_mask(
+            np.array([123], dtype=np.uint64), np.array([True])
+        )
+        assert not mask.any()
         assert technique.write_energy_factor() == 1.0
         assert technique.write_latency_factor() == 1.0
 
@@ -92,11 +95,13 @@ class TestReuseWriteBypass:
 
     def test_filter_eviction(self):
         bypass = ReuseWriteBypass(filter_blocks=2)
-        bypass.observe_read(1)
-        bypass.observe_read(2)
-        bypass.observe_read(3)  # evicts 1
-        assert bypass.should_bypass_write(1)
-        assert not bypass.should_bypass_write(3)
+        # Reads of 1, 2, 3 (the third evicts 1), then writes of 1 and 3.
+        mask = bypass.bypass_write_mask(
+            np.array([1, 2, 3, 1, 3], dtype=np.uint64),
+            np.array([False, False, False, True, True]),
+        )
+        assert mask[3]
+        assert not mask[4]
 
     def test_rejects_empty_filter(self):
         with pytest.raises(ConfigurationError):
